@@ -7,8 +7,9 @@ variant executes:
 * :mod:`repro.analysis.astlint` -- the AST linter engine (module model,
   ``noqa`` suppression, file walking);
 * :mod:`repro.analysis.rules` -- the codified rule catalog (``REP001``
-  .. ``REP008``: multiprocessing isolation, hot-path determinism,
-  hygiene, export contracts, lean-trace topic discipline);
+  .. ``REP011``: multiprocessing and service isolation, hot-path
+  determinism, hygiene, export contracts, lean-trace topic discipline,
+  retry discipline);
 * :mod:`repro.analysis.speccheck` -- registry/DSL validation without
   executing a single variant (``SPC001`` .. ``SPC009``);
 * :mod:`repro.analysis.report` -- schema-stable ``repro.lint/v1`` JSON
@@ -51,7 +52,6 @@ from repro.analysis.rules import (
     ExportContractRule,
     MultiprocessingIsolationRule,
     MutableDefaultRule,
-    NumpyIsolationRule,
     PrintInLibraryRule,
     RULE_TYPES,
     RetainedTopicRule,
@@ -83,7 +83,6 @@ __all__ = [
     "MultiprocessingIsolationRule",
     "MutableDefaultRule",
     "NOQA_CODE",
-    "NumpyIsolationRule",
     "PrintInLibraryRule",
     "REGISTRY_PATH",
     "RULE_TYPES",

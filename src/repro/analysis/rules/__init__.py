@@ -27,7 +27,6 @@ from repro.analysis.rules.isolation import (
     MultiprocessingIsolationRule,
     ServiceIsolationRule,
 )
-from repro.analysis.rules.optional_deps import NumpyIsolationRule
 from repro.analysis.rules.resilience import SleepRetryLoopRule
 from repro.analysis.rules.topics import RetainedTopicRule
 
@@ -44,7 +43,6 @@ RULE_TYPES: tuple[type, ...] = (
     RetainedTopicRule,             # REP007
     PrintInLibraryRule,            # REP008
     ServiceIsolationRule,          # REP009
-    NumpyIsolationRule,            # REP010
     SleepRetryLoopRule,            # REP011
 )
 
@@ -85,7 +83,6 @@ __all__ = [
     "ExportContractRule",
     "MultiprocessingIsolationRule",
     "MutableDefaultRule",
-    "NumpyIsolationRule",
     "PrintInLibraryRule",
     "RULE_TYPES",
     "RetainedTopicRule",

@@ -24,7 +24,7 @@ def _bound_names(body: list[ast.stmt]) -> set[str]:
     """Names bound at module level, compound statements included.
 
     Recurses into ``if``/``try``/``for``/``while``/``with`` bodies so
-    gated bindings (``try: import numpy ... except ImportError: numpy =
+    gated bindings (``try: import tomllib ... except ImportError: tomllib =
     None``) count, exactly as the import system sees them.
     """
     names: set[str] = set()

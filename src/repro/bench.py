@@ -902,9 +902,8 @@ def _large_fleet_variants(size: int):
 def _bench_fleet_large(run_campaign) -> list[BenchRecord]:
     """n=64 / n=256 variants/sec legs (serial + batched-serial).
 
-    Tracks how campaign throughput scales with convoy size -- the SoA
-    tick engine is what keeps these legs from degrading linearly.
-    Parity between the two backends is part of each record's gate.
+    Tracks how campaign throughput scales with convoy size.  Parity
+    between the two backends is part of each record's gate.
     """
     from repro.runtime import BatchedBackend, SerialBackend
 
@@ -947,96 +946,52 @@ def _bench_fleet_large(run_campaign) -> list[BenchRecord]:
 
 
 def _tick_scaling_record() -> BenchRecord:
-    """SoA vs scalar ``Topology.step`` cost at n=8/64/256.
+    """``Topology.step`` cost at n=8/64/256.
 
     Builds a mixed convoy (constant-speed lead third, follow-leader
-    rest) per size and times the per-tick step under both engines (the
-    scalar engine is forced via :data:`~repro.sim.topology.NO_NUMPY_ENV`
-    in-process).  Gate: with numpy active, growing the fleet 8x from
-    n=8 to n=64 must cost the vectorised step *sub-linearly* (< 8x),
-    while the scalar engine is expected to grow roughly linearly --
-    this is the acceptance criterion of the SoA tick engine.  Without
-    numpy the record is informational only.
+    rest) per size and times the per-tick step, best of three.  The
+    record is informational: a per-actor loop grows roughly linearly
+    with the fleet, and no gate applies.
     """
-    import os
-
     from repro.sim.clock import SimClock
     from repro.sim.topology import (
-        NO_NUMPY_ENV,
         ConstantSpeedMobility,
         FollowLeaderMobility,
         Topology,
-        numpy_enabled,
     )
     from repro.sim.world import World
 
     sizes = (8, 64, 256)
     ticks = 300
 
-    def step_seconds(size: int, scalar: bool) -> float:
-        previous = os.environ.get(NO_NUMPY_ENV)
-        if scalar:
-            os.environ[NO_NUMPY_ENV] = "1"
-        elif previous is not None:
-            del os.environ[NO_NUMPY_ENV]
-        try:
-            clock = SimClock()
-            world = World((size + 2) * 50.0 + 20000.0)
-            topology = Topology(world, clock=clock, tick_ms=100.0)
-            for index in range(size):
-                if index % 3 == 0:
-                    mobility = ConstantSpeedMobility(25.0)
-                else:
-                    mobility = FollowLeaderMobility(
-                        f"car-{index - 1}", gap_m=30.0
-                    )
-                topology.add_mobile(
-                    f"car-{index}", size * 50.0 - index * 50.0, mobility
-                )
-            topology.step()  # warm the compiled plan
-            best = float("inf")
-            for _repeat in range(3):
-                started = time.perf_counter()
-                for _tick in range(ticks):
-                    topology.step()
-                best = min(best, time.perf_counter() - started)
-            return best / ticks
-        finally:
-            if previous is None:
-                os.environ.pop(NO_NUMPY_ENV, None)
+    def step_seconds(size: int) -> float:
+        clock = SimClock()
+        world = World((size + 2) * 50.0 + 20000.0)
+        topology = Topology(world, clock=clock, tick_ms=100.0)
+        for index in range(size):
+            if index % 3 == 0:
+                mobility = ConstantSpeedMobility(25.0)
             else:
-                os.environ[NO_NUMPY_ENV] = previous
+                mobility = FollowLeaderMobility(f"car-{index - 1}", gap_m=30.0)
+            topology.add_mobile(
+                f"car-{index}", size * 50.0 - index * 50.0, mobility
+            )
+        best = float("inf")
+        for _repeat in range(3):
+            started = time.perf_counter()
+            for _tick in range(ticks):
+                topology.step()
+            best = min(best, time.perf_counter() - started)
+        return best / ticks
 
-    vector_on = numpy_enabled()
-    metrics: dict[str, Any] = {"ticks": ticks, "numpy": 1 if vector_on else 0}
-    scalar_us: dict[int, float] = {}
-    vector_us: dict[int, float] = {}
+    metrics: dict[str, Any] = {"ticks": ticks}
     for size in sizes:
-        scalar_us[size] = step_seconds(size, scalar=True) * 1e6
-        metrics[f"scalar_step_us_n{size}"] = scalar_us[size]
-        if vector_on:
-            vector_us[size] = step_seconds(size, scalar=False) * 1e6
-            metrics[f"vector_step_us_n{size}"] = vector_us[size]
-    status = "ok"
-    if vector_on:
-        vector_growth = vector_us[64] / max(vector_us[8], 1e-9)
-        scalar_growth = scalar_us[64] / max(scalar_us[8], 1e-9)
-        metrics["vector_growth_8_to_64"] = vector_growth
-        metrics["scalar_growth_8_to_64"] = scalar_growth
-        metrics["speedup_n64"] = scalar_us[64] / max(vector_us[64], 1e-9)
-        metrics["speedup_n256"] = scalar_us[256] / max(vector_us[256], 1e-9)
-        # Sub-linear gate: an 8x fleet must cost the vectorised step
-        # < 8x (generous margin for timer noise on loaded CI runners).
-        if vector_growth >= 8.0:
-            status = "failed"
+        metrics[f"scalar_step_us_n{size}"] = step_seconds(size) * 1e6
     return BenchRecord(
         suite="fleet",
         name="tick_scaling",
-        status=status,
+        status="ok",
         metrics=freeze_items(metrics),
-        meta=freeze_items(
-            {"engine": "numpy+scalar" if vector_on else "scalar-only"}
-        ),
     )
 
 
@@ -1163,8 +1118,8 @@ def bench_kernel() -> list[BenchRecord]:
         )
     )
 
-    # -- spatial kernel: vectorised vs pure-Python queries ----------------
-    from repro.sim.topology import SpatialIndex, numpy_enabled
+    # -- spatial index: range and nearest-neighbour queries ---------------
+    from repro.sim.topology import SpatialIndex
 
     entries = [
         (float((index * 37) % 3000), f"veh-{index:03d}")
@@ -1179,26 +1134,19 @@ def bench_kernel() -> list[BenchRecord]:
             hits += len(index.nearest(center, 8))
         return hits
 
-    python_index = SpatialIndex(entries, use_numpy=False)
-    python_hits, python_s = _timed(lambda: query_storm(python_index))
+    spatial_index = SpatialIndex(entries)
+    python_hits, python_s = _timed(lambda: query_storm(spatial_index))
     queries = 2 * len(centers)
     spatial_metrics = {
         "entries": len(entries),
         "queries": queries,
         "python_queries_per_s": queries / max(python_s, 1e-9),
-        "numpy_enabled": 1 if numpy_enabled() else 0,
     }
-    spatial_ok = python_hits > 0
-    if numpy_enabled():
-        numpy_index = SpatialIndex(entries, use_numpy=True)
-        numpy_hits, numpy_s = _timed(lambda: query_storm(numpy_index))
-        spatial_metrics["numpy_queries_per_s"] = queries / max(numpy_s, 1e-9)
-        spatial_ok = spatial_ok and numpy_hits == python_hits
     records.append(
         BenchRecord(
             suite="kernel",
             name="spatial_queries",
-            status="ok" if spatial_ok else "failed",
+            status="ok" if python_hits > 0 else "failed",
             metrics=freeze_items(spatial_metrics),
         )
     )

@@ -40,7 +40,6 @@ from repro.errors import ValidationError
 from repro.runtime import JobError
 from repro.sim.crypto import shared_mac_memo
 from repro.sim.network import shared_message_memo
-from repro.sim.topology import shared_tick_plans
 
 #: The batch context shipped to workers: plain data, always picklable.
 BatchContext = dict[str, str]
@@ -203,11 +202,10 @@ def execute_batch(
         for _index, _seed, item in jobs
     ]
     results: list[dict[str, Any]] = []
-    # One memo scope per batch: HMAC digests, honestly signed message
-    # instances *and* compiled topology tick plans are shared across the
-    # family's variants -- structurally identical fleets compile their
-    # step program once and re-sign their deterministic traffic once.
-    with shared_mac_memo(), shared_message_memo(), shared_tick_plans():
+    # One memo scope per batch: HMAC digests and honestly signed message
+    # instances are shared across the family's variants -- their
+    # deterministic traffic is signed once.
+    with shared_mac_memo(), shared_message_memo():
         try:
             _warm_batch(context, variants, registry)
         except Exception:  # noqa: BLE001 - warming is an optimisation

@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import time
-import warnings
 from typing import (
     Any,
     Callable,
@@ -573,29 +572,13 @@ class CampaignMemo(Protocol):
 
 def _resolve_backend(
     workers: int | None,
-    parallel: int | None,
     backend: "ExecutionBackend | str | None",
     n_variants: int,
 ) -> ExecutionBackend:
-    """Normalise the legacy ``workers=``/``parallel=`` and new ``backend=``."""
-    if parallel is not None:
-        warnings.warn(
-            "run_campaign(parallel=...) is deprecated; pass "
-            "backend=ProcessBackend(jobs=N) (or the workers=N shorthand)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if workers is not None and workers != parallel:
-            raise ValidationError(
-                f"conflicting worker counts: workers={workers}, "
-                f"parallel={parallel}"
-            )
-        workers = parallel
+    """Normalise the ``workers=`` shorthand and ``backend=``."""
     if backend is not None:
         if workers is not None:
-            raise ValidationError(
-                "pass either backend= or workers=/parallel=, not both"
-            )
+            raise ValidationError("pass either backend= or workers=, not both")
         if isinstance(backend, str):
             from repro.runtime import make_backend
 
@@ -943,7 +926,6 @@ def run_campaign(
     registry: ScenarioRegistry | None = None,
     *,
     backend: "ExecutionBackend | str | None" = None,
-    parallel: int | None = None,
     on_error: str = "raise",
     on_event: Callable[[ProgressEvent], None] | None = None,
     cancel: CancelToken | None = None,
@@ -963,14 +945,13 @@ def run_campaign(
         run_campaign(variants, backend="thread")
 
     ``workers=N`` remains as a shorthand for
-    ``backend=ProcessBackend(jobs=N)`` (``N == 1`` means serial), and the
-    historical ``parallel=N`` spelling still works as a deprecation shim.
+    ``backend=ProcessBackend(jobs=N)`` (``N == 1`` means serial).
     Outcomes are returned in input order regardless of completion order;
     verdicts are backend-independent by construction (pure-data variants,
     deterministic simulator).
     """
     variant_list = list(variants)
-    resolved = _resolve_backend(workers, parallel, backend, len(variant_list))
+    resolved = _resolve_backend(workers, backend, len(variant_list))
     owns_backend = backend is None or isinstance(backend, str)
     started = time.perf_counter()
     token = cancel if cancel is not None else CancelToken()

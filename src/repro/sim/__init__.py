@@ -103,9 +103,7 @@ from repro.sim.scenarios import (
     UC2_ALL_CONTROLS,
 )
 from repro.sim.topology import (
-    NO_NUMPY_ENV,
     Actor,
-    CompiledTickPlan,
     ConstantSpeedMobility,
     FollowLeaderMobility,
     MobilityModel,
@@ -113,8 +111,6 @@ from repro.sim.topology import (
     SpatialIndex,
     StationaryMobility,
     Topology,
-    numpy_enabled,
-    shared_tick_plans,
 )
 from repro.sim.v2x import (
     KIND_HAZARD_WARNING,
@@ -145,7 +141,6 @@ __all__ = [
     "ChallengeResponse",
     "Channel",
     "ClampedPosition",
-    "CompiledTickPlan",
     "ConstantSpeedMobility",
     "ConstructionSiteScenario",
     "ControlPipeline",
@@ -185,7 +180,6 @@ __all__ = [
     "Message",
     "MessageCounterCheck",
     "MobilityModel",
-    "NO_NUMPY_ENV",
     "OnBoardUnit",
     "PropagationModel",
     "PseudonymProvider",
@@ -224,9 +218,7 @@ __all__ = [
     "derive_key",
     "linkability",
     "make_frame",
-    "numpy_enabled",
     "shared_mac_memo",
     "shared_message_memo",
-    "shared_tick_plans",
     "verify_mac",
 ]

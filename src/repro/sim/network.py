@@ -437,14 +437,20 @@ class Channel:
         shut down ignores everything it receives anyway, so dropping it
         from the fan-out preserves behaviour while a flood no longer
         pays per-delivery calls into receivers that are gone.
+
+        The attach list is replaced, never edited in place: propagation
+        models cache per-list state keyed on the list's identity and
+        length, which an in-place remove followed by an attach would
+        leave unchanged.
         """
+        receivers = list(self._receivers)
         try:
-            self._receivers.remove(receiver)
+            receivers.remove(receiver)
         except ValueError:
-            pass
-        else:
-            self._kind_limits.pop(receiver, None)
-            self._kind_views.clear()
+            return
+        self._receivers = receivers
+        self._kind_limits.pop(receiver, None)
+        self._kind_views.clear()
 
     def tap(self, listener: Callable[[Message], None]) -> None:
         """Attach a passive tap (eavesdropper); sees sends immediately."""

@@ -50,7 +50,6 @@ RULE_FIXTURES = {
     "REP007": ("rep007", "repro.sim.fake", 1),
     "REP008": ("rep008", "repro.tara.fake", 1),
     "REP009": ("rep009", "repro.engine.fake", 2),
-    "REP010": ("rep010", "repro.engine.fake", 2),
     "REP011": ("rep011", "repro.service.fake", 2),
 }
 
@@ -131,41 +130,6 @@ class TestRuleScoping:
             source, module="repro.sim.fake", rules=rules_by_code(["REP007"])
         )
         assert findings == ()
-
-    def test_numpy_rule_allows_guarded_kernel_import(self):
-        source = (
-            "try:\n"
-            "    import numpy as _np\n"
-            "except ImportError:\n"
-            "    _np = None\n"
-        )
-        for module in ("repro.sim.topology", "repro.sim.world"):
-            findings = lint_source(
-                source, module=module, rules=rules_by_code(["REP010"])
-            )
-            assert findings == ()
-
-    def test_numpy_rule_flags_unguarded_kernel_import(self):
-        findings = lint_source(
-            "import numpy as _np\n",
-            module="repro.sim.topology",
-            rules=rules_by_code(["REP010"]),
-        )
-        assert [f.code for f in findings] == ["REP010"]
-        assert "unguarded" in findings[0].message
-
-    def test_numpy_rule_flags_guarded_import_elsewhere(self):
-        source = (
-            "try:\n"
-            "    import numpy as _np\n"
-            "except ImportError:\n"
-            "    _np = None\n"
-        )
-        findings = lint_source(
-            source, module="repro.engine.fake", rules=rules_by_code(["REP010"])
-        )
-        assert [f.code for f in findings] == ["REP010"]
-        assert "spatial kernel" in findings[0].message
 
 
 class TestSuppression:

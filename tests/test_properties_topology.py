@@ -12,15 +12,15 @@ Three contracts the fleet scenario families lean on:
   same messages, at the same times, to the same receivers as a channel
   constructed the pre-topology way; and on the AD08/AD20 parity
   variants the two spellings produce identical verdicts.
-* **spatial engine parity** -- the numpy structure-of-arrays kernel
-  and the pure-Python bisect/heap-merge fallback answer
-  ``SpatialIndex.within``/``nearest`` identically (both pinned against
-  a brute-force ``(distance, name)`` oracle, so the tie order for
-  coincident actors is part of the contract), and the vectorised
-  mobility tick traces the same trajectories as the scalar loop.
+* **spatial query oracles** -- ``SpatialIndex.within``/``nearest``
+  answer exactly as a brute-force ``(distance, name)`` ranking, so the
+  tie order for coincident actors is part of the contract;
+* **batched propagation** -- the memoised, position-list-backed
+  delivery set equals a per-delivery membership check, for stationary
+  receivers and for tracked components with and without motion
+  listeners, across motion and across several senders in one position
+  era.
 """
-
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -32,13 +32,11 @@ from repro.sim.clock import SimClock
 from repro.sim.events import EventBus
 from repro.sim.network import Channel, InfiniteRange, Message
 from repro.sim.topology import (
-    NO_NUMPY_ENV,
     ConstantSpeedMobility,
     FollowLeaderMobility,
     RangePropagation,
     SpatialIndex,
     Topology,
-    numpy_enabled,
 )
 from repro.sim.world import World
 
@@ -133,6 +131,8 @@ _fleets = st.lists(_quantised, min_size=1, max_size=40).map(
 
 
 class TestSpatialEngineParity:
+    """The one spatial engine against brute-force oracles."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         _fleets,
@@ -146,12 +146,7 @@ class TestSpatialEngineParity:
         expected = tuple(
             name for distance, name in ranked if distance <= radius
         )
-        python = SpatialIndex(entries, use_numpy=False)
-        assert python.within(center, radius) == expected
-        if numpy_enabled():
-            vectorised = SpatialIndex(entries, use_numpy=True)
-            assert vectorised.use_numpy
-            assert vectorised.within(center, radius) == expected
+        assert SpatialIndex(entries).within(center, radius) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -164,126 +159,15 @@ class TestSpatialEngineParity:
     ):
         ranked = sorted((abs(p - center), n) for p, n in entries)
         expected = tuple(name for _d, name in ranked[:count])
-        python = SpatialIndex(entries, use_numpy=False)
-        assert python.nearest(center, count) == expected
-        if numpy_enabled():
-            vectorised = SpatialIndex(entries, use_numpy=True)
-            assert vectorised.nearest(center, count) == expected
+        assert SpatialIndex(entries).nearest(center, count) == expected
 
     def test_coincident_tie_order_pinned_on_both_engines(self):
         """(distance, name) order for coincident actors is contract,
-        not accident -- identical on numpy and the heap-merge path."""
-        entries = [(5.0, "z"), (5.0, "a"), (5.0, "m"), (7.0, "b")]
-        for use_numpy in (False, True):
-            index = SpatialIndex(entries, use_numpy=use_numpy)
-            assert index.within(5.0, 0.0) == ("a", "m", "z")
-            assert index.within(5.0, 2.0) == ("a", "m", "z", "b")
-            assert index.nearest(5.0, 3) == ("a", "m", "z")
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(positions, speeds), min_size=4, max_size=12
-        ),
-        st.integers(min_value=1, max_value=30),
-        st.booleans(),
-    )
-    def test_vector_tick_matches_scalar_tick(
-        self, placements, ticks, with_follower
-    ):
-        if not numpy_enabled():
-            pytest.skip("numpy kernel inactive; nothing to compare")
-
-        def run(force_scalar: bool) -> list[float]:
-            if force_scalar:
-                os.environ[NO_NUMPY_ENV] = "1"
-            try:
-                clock = SimClock()
-                topology = Topology(World(2000.0), clock=clock, tick_ms=100.0)
-                for index, (position, speed) in enumerate(placements):
-                    topology.add_mobile(
-                        f"car-{index}", position, ConstantSpeedMobility(speed)
-                    )
-                if with_follower:
-                    topology.add_mobile(
-                        "tail", 0.0, FollowLeaderMobility("car-0", gap_m=25.0)
-                    )
-                clock.run_until(ticks * 100.0)
-                return [actor.position_m for actor in topology.actors]
-            finally:
-                if force_scalar:
-                    os.environ.pop(NO_NUMPY_ENV, None)
-
-        assert run(False) == run(True)
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        st.lists(positions, min_size=2, max_size=20),
-        st.floats(min_value=5.0, max_value=60.0, allow_nan=False),
-        st.integers(min_value=1, max_value=30),
-    )
-    def test_follow_leader_chain_parity(self, placements, gap, ticks):
-        """A whole chain of followers (each tracking the previous car)
-        traces identical trajectories on the vector and scalar ticks."""
-        if not numpy_enabled():
-            pytest.skip("numpy kernel inactive; nothing to compare")
-
-        def run(force_scalar: bool) -> list[float]:
-            if force_scalar:
-                os.environ[NO_NUMPY_ENV] = "1"
-            try:
-                clock = SimClock()
-                topology = Topology(World(5000.0), clock=clock, tick_ms=100.0)
-                topology.add_mobile(
-                    "car-0", placements[0], ConstantSpeedMobility(20.0)
-                )
-                for index, position in enumerate(placements[1:], start=1):
-                    topology.add_mobile(
-                        f"car-{index}",
-                        position,
-                        FollowLeaderMobility(f"car-{index - 1}", gap_m=gap),
-                    )
-                clock.run_until(ticks * 100.0)
-                return [actor.position_m for actor in topology.actors]
-            finally:
-                if force_scalar:
-                    os.environ.pop(NO_NUMPY_ENV, None)
-
-        assert run(False) == run(True)
-
-    @pytest.mark.parametrize("size", [8, 64])
-    def test_mixed_fleet_parity_at_scale(self, size):
-        """The bench convoy shape (every third car constant-speed, the
-        rest followers) at n=64: bit-identical trajectories on both
-        engines.  Not hypothesis-driven -- the point is the fixed large
-        fleet, where the SoA kernel actually engages."""
-        if not numpy_enabled():
-            pytest.skip("numpy kernel inactive; nothing to compare")
-
-        def run(force_scalar: bool) -> list[float]:
-            if force_scalar:
-                os.environ[NO_NUMPY_ENV] = "1"
-            try:
-                clock = SimClock()
-                topology = Topology(
-                    World(size * 50.0 + 20000.0), clock=clock, tick_ms=100.0
-                )
-                for index in range(size):
-                    position = size * 50.0 - index * 50.0
-                    if index % 3 == 0:
-                        mobility = ConstantSpeedMobility(25.0)
-                    else:
-                        mobility = FollowLeaderMobility(
-                            f"car-{index - 1}", gap_m=30.0
-                        )
-                    topology.add_mobile(f"car-{index}", position, mobility)
-                clock.run_until(300 * 100.0)
-                return [actor.position_m for actor in topology.actors]
-            finally:
-                if force_scalar:
-                    os.environ.pop(NO_NUMPY_ENV, None)
-
-        assert run(False) == run(True)
+        not accident."""
+        index = SpatialIndex([(5.0, "z"), (5.0, "a"), (5.0, "m"), (7.0, "b")])
+        assert index.within(5.0, 0.0) == ("a", "m", "z")
+        assert index.within(5.0, 2.0) == ("a", "m", "z", "b")
+        assert index.nearest(5.0, 3) == ("a", "m", "z")
 
 
 class _Ear:
@@ -296,9 +180,39 @@ class _Ear:
         pass
 
 
+class _Tracked:
+    """A component owning its own position, silent about motion."""
+
+    def __init__(self, name: str, position_m: float) -> None:
+        self.name = name
+        self.position_m = position_m
+
+
+class _Reporting:
+    """A component owning its own position that reports every motion."""
+
+    def __init__(self, name: str, position_m: float) -> None:
+        self.name = name
+        self._position_m = position_m
+        self._listeners: list = []
+
+    @property
+    def position_m(self) -> float:
+        return self._position_m
+
+    @position_m.setter
+    def position_m(self, value: float) -> None:
+        self._position_m = value
+        for listener in self._listeners:
+            listener()
+
+    def add_motion_listener(self, listener) -> None:
+        self._listeners.append(listener)
+
+
 class TestBatchedPropagationParity:
-    """The vectorised batch delivery-set resolution equals the
-    per-delivery membership check, receiver for receiver, in order."""
+    """The batched delivery-set resolution equals the per-delivery
+    membership check, receiver for receiver, in order."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -335,13 +249,6 @@ class TestBatchedPropagationParity:
         # memoised (position_version, range) fast path.
         assert list(batched.receivers(message, attached)) == expected
         assert list(batched.receivers(message, attached)) == expected
-        if numpy_enabled():
-            os.environ[NO_NUMPY_ENV] = "1"
-            try:
-                scalar = RangePropagation(topology)
-                assert list(scalar.receivers(message, attached)) == expected
-            finally:
-                os.environ.pop(NO_NUMPY_ENV, None)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -376,6 +283,73 @@ class TestBatchedPropagationParity:
         moved = topology.actor(attached[0].name)
         moved.position_m = min(placed[0] + step_m, 1000.0)
         assert list(propagation.receivers(message, attached)) == oracle()
+
+
+    @pytest.mark.parametrize("component", [_Reporting, _Tracked])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(positions, min_size=1, max_size=8),
+        st.lists(positions, min_size=1, max_size=8),
+        st.lists(st.tuples(positions, ranges), min_size=1, max_size=3),
+        ranges,
+        st.lists(
+            st.tuples(st.booleans(), st.integers(0, 7), positions),
+            max_size=6,
+        ),
+    )
+    def test_batched_set_matches_oracle_across_tracked_motion(
+        self, component, placed, tracked, senders, mobile_range, moves
+    ):
+        """Tracked receivers (reporting motion or not), a tracked
+        sender, and several stationary senders per position era: every
+        delivery set equals the per-delivery oracle, before and after
+        each move."""
+        topology = Topology(World(1000.0))
+        attached = []
+        for index, position in enumerate(placed):
+            topology.add_stationary(f"rx-{index}", position)
+            attached.append(_Ear(f"rx-{index}"))
+        components = []
+        for index, position in enumerate(tracked):
+            moving = component(f"veh-{index}", position)
+            topology.track(moving)
+            components.append(moving)
+            attached.append(_Ear(moving.name))
+        attached.append(_Ear("observer"))  # unplaced: hears everything
+        for index, (position, range_m) in enumerate(senders):
+            topology.add_stationary(
+                f"tx-{index}", position, transmit_range_m=range_m
+            )
+        mobile_tx = component("tx-mobile", tracked[0])
+        topology.track(mobile_tx, transmit_range_m=mobile_range)
+        sender_names = [f"tx-{i}" for i in range(len(senders))]
+        sender_names.append("tx-mobile")
+        propagation = RangePropagation(topology)
+
+        def check_era():
+            for sender in sender_names:
+                range_m = topology.actor(sender).transmit_range_m
+                origin = topology.position_of(sender)
+                expected = [
+                    ear
+                    for ear in attached
+                    if not topology.knows(ear.name)
+                    or abs(topology.position_of(ear.name) - origin) <= range_m
+                ]
+                message = Message(kind="k", sender=sender, payload={})
+                # Twice: the second call may replay the era's memo.
+                assert propagation.receivers(message, attached) == expected
+                assert propagation.receivers(message, attached) == expected
+
+        check_era()
+        for move_tracked, index, position in moves:
+            if move_tracked:
+                movers = components + [mobile_tx]
+                movers[index % len(movers)].position_m = position
+            else:
+                name = f"rx-{index % len(placed)}"
+                topology.actor(name).position_m = position
+            check_era()
 
 
 class TestInfiniteRangeEquivalence:

@@ -2,13 +2,11 @@
 
 Covers the contracts the execution-backend redesign introduced: verdict
 parity across backends (including the AD08/AD20 bound-attack family),
-the ``parallel=``/``workers=`` deprecation shims, streaming result
+the ``workers=``/``backend=`` exclusivity check, streaming result
 sinks, poisoned jobs surfacing as tagged error records (or as
 :class:`~repro.errors.VariantExecutionError`), and cooperative
 mid-campaign cancellation.
 """
-
-import warnings
 
 import pytest
 
@@ -125,23 +123,7 @@ class TestOrderingAndOwnership:
 
 
 class TestDeprecationShims:
-    def test_parallel_keyword_warns_and_matches_backend_path(self):
-        variants = _quick_variants()[:4]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = run_campaign(variants, parallel=2)
-        assert any(
-            issubclass(item.category, DeprecationWarning) for item in caught
-        )
-        explicit = run_campaign(variants, backend=ProcessBackend(jobs=2))
-        assert _fingerprint(shim) == _fingerprint(explicit)
-        assert shim.backend == explicit.backend == "process"
-        assert shim.workers == explicit.workers == 2
-
     def test_conflicting_worker_specs_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValidationError, match="conflicting"):
-                run_campaign([], workers=2, parallel=3)
         with pytest.raises(ValidationError, match="not both"):
             run_campaign([], workers=2, backend=SerialBackend())
 

@@ -230,6 +230,24 @@ class TestRangePropagation:
         assert len(far.messages) == 0
         assert channel.stats["out_of_range"] == 1
 
+    def test_detach_then_attach_drops_detached_receiver(self, topology):
+        """detach + attach keeps the attach list's length; the memoised
+        delivery set must still notice the change."""
+        topology.add_stationary("tx", 0.0, transmit_range_m=100.0)
+        topology.add_stationary("near", 50.0)
+        topology.add_stationary("far", 900.0)
+        near, far = Sink("near"), Sink("far")
+        clock, channel = self._channel(topology)
+        channel.attach(near)
+        channel.send(Message(kind="k", sender="tx", payload={}))
+        clock.run()
+        channel.detach(near)
+        channel.attach(far)
+        channel.send(Message(kind="k", sender="tx", payload={}))
+        clock.run()
+        assert len(near.messages) == 1
+        assert len(far.messages) == 0
+
     def test_unknown_sender_broadcasts_globally(self, topology):
         topology.add_stationary("rx", 900.0)
         sink = Sink("rx")
