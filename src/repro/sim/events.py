@@ -14,6 +14,15 @@ are index-based rather than scan-based:
   topic matches several subscription prefixes, the matched subscribers
   are merged back into subscription order, so dispatch order is
   bit-identical to the historical "scan the subscription list" loop.
+* **Invalidation** is prefix-scoped.  Each topic's dispatch plan is
+  cached, and the cached plans and issued :class:`TopicProbe` objects
+  are indexed under every segment prefix of their topic.  A
+  :meth:`EventBus.subscribe` or :meth:`EventBus.retain` on prefix ``p``
+  can only change the plans of topics under ``p``, so it drops exactly
+  those plans and re-answers exactly those probes (``""`` still reaches
+  everything).  Building an N-vehicle scenario, where every vehicle and
+  ECU subscribes or probes its own topics, therefore costs O(N) plan
+  builds instead of O(N^2).
 * **Counting** maintains a running counter per published *topic*
   (one increment per publish); :meth:`EventBus.count` answers from
   those counters -- O(distinct topics) per query instead of a scan of
@@ -111,21 +120,22 @@ class EventBus:
         # prefix -> [(subscription order, subscriber), ...]
         self._subscribers: dict[str, list[tuple[int, Subscriber]]] = {}
         self._subscription_count = 0
-        # Bumped with every subscribe()/retain(): TopicProbe caches its
-        # "does anyone want this topic" answer against it.
-        self.plan_epoch = 0
         self._trace: list[SimEvent] = []
         self._topic_counts: dict[str, int] = {}
         self._retained: frozenset[str] = frozenset()
         # topic -> its segment prefixes (topics repeat; split once).
         self._prefixes_of: dict[str, tuple[str, ...]] = {}
         # topic -> (ordered subscribers, retained?) -- the publish fast
-        # path; invalidated wholesale on subscribe()/retain().
+        # path.
         self._plans: dict[str, tuple[tuple[Subscriber, ...], bool]] = {}
-        # Issued probes, refreshed eagerly whenever the plan epoch moves
-        # (rare) so their ``active`` flag is a plain attribute read on
-        # the per-message hot paths (frequent).
-        self._probes: dict[str, "TopicProbe"] = {}
+        # segment prefix -> topics with a cached plan under it, so
+        # subscribe()/retain() drop only the plans they can change.
+        self._planned_under: dict[str, set[str]] = {}
+        # segment prefix -> issued probes whose topic lies under it,
+        # re-answered eagerly by subscribe()/retain() (rare) so their
+        # ``active`` flag is a plain attribute read on the per-message
+        # hot paths (frequent).
+        self._probes: dict[str, list["TopicProbe"]] = {}
         # Cached immutable views, invalidated on publish/clear.
         self._events_cache: dict[str, tuple[SimEvent, ...]] = {}
         self._trace_cache: tuple[SimEvent, ...] | None = None
@@ -141,9 +151,7 @@ class EventBus:
             (self._subscription_count, subscriber)
         )
         self._subscription_count += 1
-        self._plans.clear()
-        self.plan_epoch += 1
-        self._refresh_probes()
+        self._invalidate(topic_prefix)
 
     def retain(self, topic_prefix: str) -> None:
         """Keep events under ``topic_prefix`` in the trace in every mode.
@@ -156,9 +164,19 @@ class EventBus:
         """
         if topic_prefix not in self._retained:
             self._retained = self._retained | {topic_prefix}
-            self._plans.clear()
-            self.plan_epoch += 1
-            self._refresh_probes()
+            self._invalidate(topic_prefix)
+
+    def _invalidate(self, topic_prefix: str) -> None:
+        """Drop the plans under ``topic_prefix``; re-answer its probes.
+
+        A subscription or retention prefix changes the plan of exactly
+        the topics it is a segment prefix of, so every other cached
+        plan and probe answer stays valid.
+        """
+        for topic in self._planned_under.pop(topic_prefix, ()):
+            self._plans.pop(topic, None)
+        for probe in self._probes.get(topic_prefix, ()):
+            probe.active = self.wants(probe.topic)
 
     def publish(
         self,
@@ -215,8 +233,9 @@ class EventBus:
     def wants(self, topic: str) -> bool:
         """True when publishing ``topic`` would retain or dispatch.
 
-        The answer is only stable while :attr:`plan_epoch` stands still;
-        :class:`TopicProbe` keeps a live copy for hot paths.
+        The answer holds until the next :meth:`subscribe`/:meth:`retain`
+        under one of the topic's prefixes; :class:`TopicProbe` keeps a
+        live copy for hot paths.
         """
         plan = self._plans.get(topic)
         if plan is None:
@@ -226,15 +245,17 @@ class EventBus:
 
     def probe(self, topic: str) -> "TopicProbe":
         """A cached :meth:`wants` probe for one hot-path topic."""
-        cached = self._probes.get(topic)
-        if cached is None:
-            cached = self._probes[topic] = TopicProbe(self, topic)
-        return cached
+        for probe in self._probes.get(topic, ()):
+            if probe.topic == topic:
+                return probe
+        return TopicProbe(self, topic)
 
-    def _refresh_probes(self) -> None:
-        """Re-answer every issued probe after a plan-epoch move."""
-        for probe in self._probes.values():
-            probe.active = self.wants(probe.topic)
+    def _prefixes(self, topic: str) -> tuple[str, ...]:
+        """:func:`_segment_prefixes`, split once per distinct topic."""
+        prefixes = self._prefixes_of.get(topic)
+        if prefixes is None:
+            prefixes = self._prefixes_of[topic] = _segment_prefixes(topic)
+        return prefixes
 
     def _build_plan(
         self, topic: str
@@ -246,10 +267,7 @@ class EventBus:
         is bit-identical to the historical "scan the subscription list"
         loop.
         """
-        prefixes = self._prefixes_of.get(topic)
-        if prefixes is None:
-            prefixes = _segment_prefixes(topic)
-            self._prefixes_of[topic] = prefixes
+        prefixes = self._prefixes(topic)
         matched = [
             pair
             for prefix in prefixes
@@ -262,6 +280,8 @@ class EventBus:
         )
         plan = (tuple(subscriber for _order, subscriber in matched), retained)
         self._plans[topic] = plan
+        for prefix in prefixes:
+            self._planned_under.setdefault(prefix, set()).add(topic)
         return plan
 
     # -- trace reads ----------------------------------------------------------
@@ -376,12 +396,13 @@ class TopicProbe:
     events) emit hundreds of thousands of events per campaign variant
     that -- in ``"counts"`` mode with no subscriber -- only ever tick a
     counter.  A probe answers :meth:`EventBus.wants` once per
-    subscription epoch, so those call sites degrade to
+    subscription change under its topic, so those call sites degrade to
     :meth:`EventBus.tally` (one dict increment) instead of building
     kwargs for an event nobody would see.  Dispatch semantics are
     untouched: the moment a subscriber or retention prefix appears, the
-    bus refreshes every issued probe, so :attr:`active` is always
-    current and hot paths can branch on a plain attribute read.
+    bus re-answers every probe -- bus-issued or constructed directly --
+    whose topic lies under it, so :attr:`active` is always current and
+    hot paths can branch on a plain attribute read.
     """
 
     __slots__ = ("bus", "topic", "active", "counts")
@@ -396,7 +417,8 @@ class TopicProbe:
         #: False the call site increments ``counts[topic]`` directly --
         #: the whole of :meth:`EventBus.tally` without the call.
         self.counts = bus._topic_counts
-        bus._probes.setdefault(topic, self)
+        for prefix in bus._prefixes(topic):
+            bus._probes.setdefault(prefix, []).append(self)
 
     def wants(self) -> bool:
         """The probe's current answer (an alias for :attr:`active`)."""

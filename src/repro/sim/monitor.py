@@ -75,6 +75,14 @@ class SafetyMonitor:
         a single event at the identical firing times cannot change what
         any check observes.  Bounded invariants (``until``) keep their
         own schedule, which stops exactly at ``until``.
+
+        One check registered under several goals back to back (a fleet
+        scenario's ``SG01`` and ``SG01:<vehicle>``) runs **once** per
+        sweep: the next entry reuses its result, so both goals record
+        the same detail at the same time.  Recording a violation
+        publishes ``safety.violation.<goal>``, whose subscribers may
+        change state, so a check is re-run after every recorded
+        violation -- the reuse never hides a state change from a goal.
         """
         if until is not None:
             def run_check() -> None:
@@ -103,12 +111,18 @@ class SafetyMonitor:
 
     def _sweep(self, entries: list[tuple[str, InvariantCheck]]) -> None:
         violated = self._violated_goals
+        last_check: InvariantCheck | None = None
+        detail: str | None = None
         for goal_id, check in entries:
             if goal_id in violated:
                 continue
-            detail = check()
+            if check is not last_check:
+                detail = check()
+                last_check = check
             if detail is not None:
                 self._record(goal_id, detail)
+                # A violation subscriber may change state: re-evaluate.
+                last_check = None
 
     # -- FTTI deadlines -------------------------------------------------------
 

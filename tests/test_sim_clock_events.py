@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
-from repro.sim.events import EventBus
+from repro.sim.events import TRACE_COUNTS, EventBus, TopicProbe
 
 
 class TestSimClock:
@@ -152,3 +152,70 @@ class TestEventBus:
         assert bus.trace == ()
         bus.publish(2.0, "t", "s")
         assert len(received) == 2
+
+    def test_directly_constructed_probe_is_refreshed(self):
+        # Two probes on one topic: both must follow a later subscribe,
+        # not only the one the bus issued first.
+        bus = EventBus(mode=TRACE_COUNTS)
+        issued = bus.probe("a.b")
+        direct = TopicProbe(bus, "a.b")
+        assert not issued.active and not direct.active
+        bus.subscribe("a", lambda event: None)
+        assert issued.active and direct.active
+
+    def test_probe_is_cached_per_topic(self):
+        bus = EventBus(mode=TRACE_COUNTS)
+        assert bus.probe("a.b") is bus.probe("a.b")
+        assert bus.probe("a") is not bus.probe("a.b")
+
+
+class TestTargetedInvalidation:
+    """subscribe()/retain() refresh only the topics under their prefix."""
+
+    def test_probe_flips_on_matching_prefix_subscribe(self):
+        bus = EventBus(mode=TRACE_COUNTS)
+        probe = bus.probe("ecu.A.processed")
+        bus.subscribe("ecu.A", lambda event: None)
+        assert probe.active
+
+    def test_probe_ignores_sibling_prefix(self):
+        bus = EventBus(mode=TRACE_COUNTS)
+        probe = bus.probe("ecu.AB.processed")
+        bus.subscribe("ecu.A", lambda event: None)
+        bus.retain("ecu.A")
+        assert not probe.active
+        assert bus.publish(1.0, "ecu.AB.processed", "ecu") is None
+
+    def test_probe_flips_on_empty_prefix(self):
+        bus = EventBus(mode=TRACE_COUNTS)
+        probe = bus.probe("ecu.A.processed")
+        bus.subscribe("", lambda event: None)
+        assert probe.active
+
+    def test_probe_flips_on_retain_in_counts_mode(self):
+        bus = EventBus(mode=TRACE_COUNTS)
+        probe = bus.probe("ecu.A.processed")
+        bus.retain("ecu.A.processed")
+        assert probe.active
+        bus.publish(1.0, "ecu.A.processed", "ecu")
+        assert len(bus.events("ecu.A.processed")) == 1
+
+    def test_cached_plan_follows_later_parent_subscribe(self):
+        bus = EventBus()
+        order = []
+        bus.subscribe("a.b.c", lambda event: order.append("exact"))
+        bus.publish(1.0, "a.b.c", "s")  # caches the plan
+        bus.subscribe("a", lambda event: order.append("parent"))
+        bus.subscribe("a.b.c", lambda event: order.append("late"))
+        bus.subscribe("", lambda event: order.append("all"))
+        order.clear()
+        bus.publish(2.0, "a.b.c", "s")
+        assert order == ["exact", "parent", "late", "all"]
+
+    def test_subscribe_elsewhere_keeps_cached_plan(self):
+        bus = EventBus()
+        bus.publish(1.0, "a.b", "s")
+        plan = bus._plans["a.b"]
+        bus.subscribe("a.c", lambda event: None)
+        bus.subscribe("b", lambda event: None)
+        assert bus._plans["a.b"] is plan

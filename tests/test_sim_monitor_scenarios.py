@@ -65,6 +65,46 @@ class TestSafetyMonitor:
         clock.run_until(20.0)
         assert monitor.violated_goals() == ("SG01", "SG02")
 
+    def test_shared_check_runs_once_per_sweep(self):
+        clock, bus = SimClock(), EventBus()
+        monitor = SafetyMonitor(clock, bus, check_period_ms=10.0)
+        state = {"bad": False, "calls": 0}
+
+        def check():
+            state["calls"] += 1
+            return "broken" if state["bad"] else None
+
+        monitor.add_invariant("SG01", check)
+        monitor.add_invariant("SG01:ego-1", check)
+        clock.run_until(30.0)
+        assert state["calls"] == 3  # three sweeps, one call each
+        state["bad"] = True
+        clock.run_until(40.0)
+        first, second = monitor.violations
+        assert (first.goal_id, second.goal_id) == ("SG01", "SG01:ego-1")
+        assert first.time == second.time == 40.0
+        assert first.detail == second.detail == "broken"
+
+    def test_violation_subscriber_forces_re_evaluation(self):
+        # A safety.violation.* subscriber that repairs the state must be
+        # seen by the next goal sharing the check.
+        clock, bus = SimClock(), EventBus()
+        monitor = SafetyMonitor(clock, bus, check_period_ms=10.0)
+        state = {"bad": True, "calls": 0}
+
+        def check():
+            state["calls"] += 1
+            return "broken" if state["bad"] else None
+
+        bus.subscribe(
+            "safety.violation.SG01", lambda event: state.update(bad=False)
+        )
+        monitor.add_invariant("SG01", check)
+        monitor.add_invariant("SG01:ego-1", check)
+        clock.run_until(10.0)
+        assert state["calls"] == 2
+        assert monitor.violated_goals() == ("SG01",)
+
     def test_parameter_validation(self):
         clock, bus = SimClock(), EventBus()
         with pytest.raises(SimulationError):
