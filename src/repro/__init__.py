@@ -34,6 +34,8 @@ Custom analyses use the immutable builder directly::
         .build()
     )
 
+A paper use case's pipeline comes from its module's builder
+(``uc1.pipeline_builder().build()``) or from ``ws.pipeline("uc1")``.
 See ``examples/`` for complete end-to-end runs of the paper's two use
 cases, and the README migration note for moving off the legacy
 :class:`SaSeValPipeline` step protocol.

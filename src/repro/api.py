@@ -25,10 +25,7 @@ pieces:
 * :class:`Pipeline` -- the frozen, fully-audited artifact ``build()``
   returns: library, HARA, derived attacks, the RQ1 completeness report
   and (optionally) the Step-4 bindings.  ``run()``/``verdicts()`` execute
-  bound attacks and emit uniform :mod:`repro.results` records;
-  ``to_legacy()`` replays the configuration through the old
-  :class:`~repro.core.pipeline.SaSeValPipeline` protocol for the
-  deprecation shims (bit-identical results, by construction).
+  bound attacks and emit uniform :mod:`repro.results` records.
 
 * :class:`Workspace` -- the one entry point consumers (CLI, benchmarks,
   notebooks) talk to: declaratively registered use cases
@@ -45,7 +42,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.completeness import CompletenessAuditor, CompletenessReport
 from repro.core.derivation import AttackDeriver, AttackDescriptionSet
-from repro.core.pipeline import SaSeValPipeline, Step
+from repro.core.pipeline import Step
 from repro.core.traceability import TraceMatrix
 from repro.errors import ValidationError
 from repro.hara.analysis import Hara
@@ -296,35 +293,13 @@ class Pipeline:
             for attack_id in selected
         )
 
-    # -- legacy bridge -----------------------------------------------------
-
-    def to_legacy(self) -> SaSeValPipeline:
-        """Replay this configuration through the old step protocol.
-
-        Exists for the ``build_pipeline()`` deprecation shims: the
-        returned object is built from the same library, HARA, attack set
-        and justifications, so every artifact it exposes is identical to
-        the pre-redesign path.
-        """
-        legacy = SaSeValPipeline(name=self.name)
-        legacy.provide_threat_library(self.library)
-        legacy.provide_safety_analysis(self.hara)
-        deriver = legacy.begin_attack_description()
-        for attack in self.attacks:
-            deriver.results.add(attack)
-        for threat_id, reason, author in self.justifications:
-            legacy.justify(threat_id, reason, author=author)
-        legacy.finish_attack_description(require_complete=self.strict)
-        return legacy
-
 
 @dataclasses.dataclass(frozen=True)
 class UseCaseDefinition:
     """A use case as declarative stage registrations (pure data + factories).
 
-    This replaces the monolithic per-use-case ``build_pipeline()``
-    functions: a definition names the factories for each process step and
-    the :class:`Workspace`/:class:`PipelineBuilder` machinery does the
+    A definition names the factories for each process step; the
+    :class:`Workspace`/:class:`PipelineBuilder` machinery does the
     sequencing.
 
     Attributes:
@@ -463,14 +438,13 @@ class Workspace:
         family: str | None = None,
         attack: str | None = None,
         limit: int | None = None,
-        workers: int | None = None,
+        jobs: int | None = None,
         variants: Iterable[Any] | None = None,
         *,
         use_case: str | None = None,
         fleet_size: int | None = None,
         rsu_range_m: float | None = None,
         backend: Any | None = None,
-        jobs: int | None = None,
         batch_size: int | None = None,
         on_error: str = "raise",
         on_event: Any | None = None,
@@ -488,11 +462,12 @@ class Workspace:
         topology-capable variants (convoy size, RSU transmit range)
         through :func:`~repro.engine.registry.apply_topology_overrides`.
         Execution goes through the :mod:`repro.runtime` layer:
-        ``backend``/``jobs`` (per call, falling back to the workspace
-        defaults) pick where variants run -- ``workers=N`` remains as the
-        legacy process-pool shorthand -- and ``batch_size=N`` ships
-        same-family variants as shared-setup batches
-        (:class:`~repro.runtime.BatchedBackend`); verdicts are
+        ``backend``/``jobs`` pick where variants run.  Without a per-call
+        ``backend`` the workspace default is used, resized by a per-call
+        ``jobs`` when one is given; a per-call ``backend`` is sized by
+        the per-call ``jobs`` alone.  ``batch_size=N`` ships same-family
+        variants as shared-setup batches
+        (:class:`~repro.runtime.BatchedBackend`); outcomes are
         batching-independent by construction.  Each outcome's record joins the
         workspace result set the moment its job completes, so
         :meth:`results` reflects a still-running campaign when called
@@ -512,22 +487,16 @@ class Workspace:
         from repro.engine.registry import apply_topology_overrides
         from repro.results import ResultSink
 
-        if backend is None and jobs is None and workers is None:
-            backend, jobs = self._backend_spec, self._jobs
-        if backend is None and jobs is None and batch_size is None:
-            runner = CampaignRunner(registry=self._registry, workers=workers)
-        else:
-            if workers is not None:
-                raise ValidationError(
-                    "pass either workers= or backend=/jobs=/batch_size=, "
-                    "not both"
-                )
-            runner = CampaignRunner(
-                registry=self._registry,
-                backend=backend,
-                jobs=jobs,
-                batch_size=batch_size,
-            )
+        if backend is None:
+            backend = self._backend_spec
+            if jobs is None:
+                jobs = self._jobs
+        runner = CampaignRunner(
+            registry=self._registry,
+            backend=backend,
+            jobs=jobs,
+            batch_size=batch_size,
+        )
         if variants is None:
             variants = runner.select(
                 scenario=scenario,

@@ -157,26 +157,6 @@ def _export_records(records: ResultSet, target: str) -> None:
     path.write_text(document, encoding="utf-8")
 
 
-def _campaign_execution(
-    args: argparse.Namespace,
-) -> tuple[str, int, int | None]:
-    """Resolve ``--backend``/``--jobs``/``--batch-size``/legacy ``--workers``."""
-    from repro.errors import ValidationError
-
-    jobs = args.jobs if args.jobs is not None else args.workers
-    if jobs is not None and jobs < 1:
-        raise ValidationError(f"jobs/workers must be >= 1, got {jobs}")
-    batch_size = getattr(args, "batch_size", None)
-    if batch_size is not None and batch_size < 1:
-        raise ValidationError(f"batch size must be >= 1, got {batch_size}")
-    backend = args.backend
-    if backend is None:
-        backend = "process" if jobs is not None and jobs > 1 else "serial"
-    if jobs is None:
-        jobs = 1
-    return backend, jobs, batch_size
-
-
 def _print_families(registry, args: argparse.Namespace) -> int:
     """Enumerate the variant families, honouring the selection filters."""
     rows = []
@@ -224,7 +204,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.engine.registry import apply_topology_overrides
 
     try:
-        backend, jobs, batch_size = _campaign_execution(args)
         # Selection needs only the registry; the execution backend is
         # resolved once, inside Workspace.campaign below.
         runner = CampaignRunner()
@@ -280,9 +259,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             retry = RetryPolicy(max_attempts=args.retries)
         result = workspace.campaign(
             variants=variants,
-            backend=backend,
-            jobs=jobs,
-            batch_size=batch_size,
+            backend=args.backend,
+            jobs=args.jobs,
+            batch_size=args.batch_size,
             retry=retry,
             deadline_s=args.deadline_s,
             # Fault-tolerant runs record failures as tagged outcomes
@@ -876,12 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs > 1)",
     )
     campaign.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=int, default=1,
         help="concurrent jobs on the chosen backend (default 1)",
-    )
-    campaign.add_argument(
-        "--workers", type=int, default=None,
-        help="legacy alias for --jobs with the process backend",
     )
     campaign.add_argument(
         "--batch-size", type=int, default=None, metavar="N",

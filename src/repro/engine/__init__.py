@@ -22,10 +22,12 @@ replaces that:
   scenario x attack x control combinations across any
   :mod:`repro.runtime` execution backend (serial, thread, process),
   streaming outcomes and aggregating verdicts;
-* :mod:`repro.engine.batch` -- family batching: :class:`BatchPlan`
-  groups same-``(scenario, family)`` variants so
-  :class:`~repro.runtime.BatchedBackend` workers build shared setup
-  (factory resolution, bound attacks, key material) once per batch.
+* :mod:`repro.engine.batch` -- family batching: every campaign runs as
+  a :class:`BatchPlan` of same-``(scenario, family)`` batches, sized by
+  a :class:`~repro.runtime.BatchedBackend` (batch size 1, the plain
+  case, for any other backend).  Batches of two or more build shared
+  setup (factory resolution, bound attacks) and enter the shared MAC
+  and message memos once per batch; one-member batches share nothing.
 
 Submodules are imported lazily (PEP 562) so that
 ``repro.sim.scenarios`` can import :mod:`repro.engine.kernel` without
@@ -60,7 +62,6 @@ _EXPORTS = {
     "BatchPlan": "repro.engine.batch",
     "VariantBatch": "repro.engine.batch",
     "execute_batch": "repro.engine.batch",
-    "execute_batch_in_process": "repro.engine.batch",
     "run_batch_payload": "repro.engine.batch",
     "CAMPAIGN_TRACE_MODE": "repro.engine.campaign",
     "CampaignMemo": "repro.engine.campaign",

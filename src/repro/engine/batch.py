@@ -1,14 +1,16 @@
 """Family batching: ship groups of variants that share their setup.
 
-A campaign over the stock registry re-resolves the same scenario factory,
-re-derives the same HMAC keys and re-signs the same canonical payloads
-hundreds of times -- once per variant.  :class:`BatchPlan` groups a
-variant list by ``(scenario, family)`` (the axis along which setup is
-actually shared: one spec, one factory, one attack template pool, one
-vocabulary of signed messages) and chunks each group to the backend's
-batch size.  :func:`execute_batch` then runs a whole
-:class:`VariantBatch` inside one worker task with the shared, immutable
-setup built **once**:
+Every campaign runs as a :class:`BatchPlan`; an unbatched backend is
+simply batch size 1, where each variant is its own one-member batch and
+nothing is shared.  A campaign over the stock registry re-resolves the
+same scenario factory, re-derives the same HMAC keys and re-signs the
+same canonical payloads hundreds of times -- once per variant.
+:class:`BatchPlan` groups a variant list by ``(scenario, family)`` (the
+axis along which setup is actually shared: one spec, one factory, one
+attack template pool, one vocabulary of signed messages) and chunks each
+group to the backend's batch size.  :func:`execute_batch` then runs a
+whole :class:`VariantBatch` inside one worker task; a batch of two or
+more members builds the shared, immutable setup **once**:
 
 * the scenario factory and its ``trace_mode`` introspection are resolved
   and cached before the first variant runs;
@@ -19,10 +21,13 @@ setup built **once**:
   :func:`~repro.sim.crypto.shared_mac_memo` lets every variant in the
   batch reuse each distinct HMAC digest.
 
+A one-member batch enters none of these scopes: it has no cross-variant
+reuse to gain, and the memos would only cost memory.
+
 Per-variant behaviour is untouched: each variant still executes through
 :func:`repro.engine.campaign.execute_variant` with the seed the runtime
 derived from its position in the *original, unbatched* variant list, so
-verdicts are bit-identical to serial execution (the golden-parity suite
+outcomes are identical to unbatched execution (the golden-parity suite
 gates this).  Campaign internals are imported lazily inside functions --
 :mod:`repro.engine.campaign` imports this module, not the other way
 around at import time.
@@ -30,6 +35,7 @@ around at import time.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
 from typing import Any, Iterator, Sequence
@@ -102,7 +108,8 @@ class BatchPlan:
     The plan covers every input variant exactly once; batches preserve
     the original relative order within each ``(scenario, family)`` group
     and never mix groups, so a batch's shared setup is valid for all its
-    members.
+    members.  Batches are ordered by their first member's input index,
+    so a serial run at batch size 1 streams in exact input order.
     """
 
     batches: tuple[VariantBatch, ...]
@@ -113,7 +120,7 @@ class BatchPlan:
         cls, variants: Sequence[VariantSpec], batch_size: int
     ) -> "BatchPlan":
         """Group ``variants`` by ``(scenario, family)``, chunked to
-        ``batch_size`` members per batch."""
+        ``batch_size`` members per batch, in first-member input order."""
         if batch_size < 1:
             raise ValidationError(
                 f"batch size must be >= 1, got {batch_size}"
@@ -134,6 +141,7 @@ class BatchPlan:
                         variants=tuple(variant for _index, variant in chunk),
                     )
                 )
+        batches.sort(key=lambda batch: batch.indices[0])
         return cls(batches=tuple(batches), total=len(variants))
 
     def __len__(self) -> int:
@@ -202,19 +210,24 @@ def execute_batch(
         for _index, _seed, item in jobs
     ]
     results: list[dict[str, Any]] = []
-    # One memo scope per batch: HMAC digests and honestly signed message
-    # instances are shared across the family's variants -- their
-    # deterministic traffic is signed once.
-    with shared_mac_memo(), shared_message_memo():
-        try:
-            _warm_batch(context, variants, registry)
-        except Exception:  # noqa: BLE001 - warming is an optimisation
-            # A variant that cannot even warm (unknown scenario or
-            # attack) must fail *individually* below, exactly as it
-            # would unbatched -- never take the whole batch down.
-            pass
+    with contextlib.ExitStack() as shared:
+        if len(jobs) > 1:
+            # One memo scope per multi-member batch: HMAC digests and
+            # honestly signed message instances are shared across the
+            # family's variants -- their deterministic traffic is signed
+            # once.
+            shared.enter_context(shared_mac_memo())
+            shared.enter_context(shared_message_memo())
+            try:
+                _warm_batch(context, variants, registry)
+            except Exception:  # noqa: BLE001 - warming is an optimisation
+                # A variant that cannot even warm (unknown scenario or
+                # attack) must fail *individually* below, exactly as it
+                # would unbatched -- never take the whole batch down.
+                pass
         for (index, seed, _item), variant in zip(jobs, variants):
             started = time.perf_counter()
+            result: dict[str, Any] = {"index": index, "seed": seed}
             try:
                 outcome = _execute_checked(
                     variant,
@@ -223,47 +236,16 @@ def execute_batch(
                     default_deadline_s=default_deadline_s,
                 )
             except Exception as exc:  # noqa: BLE001 - captured, reported
-                results.append(
-                    {
-                        "index": index,
-                        "seed": seed,
-                        "error": dataclasses.asdict(
-                            JobError.from_exception(exc)
-                        ),
-                        "wall_time_s": time.perf_counter() - started,
-                    }
+                result["error"] = dataclasses.asdict(
+                    JobError.from_exception(exc)
                 )
             else:
-                results.append(
-                    {
-                        "index": index,
-                        "seed": seed,
-                        "value": (
-                            dataclasses.asdict(outcome)
-                            if as_payload
-                            else outcome
-                        ),
-                        "wall_time_s": time.perf_counter() - started,
-                    }
+                result["value"] = (
+                    dataclasses.asdict(outcome) if as_payload else outcome
                 )
+            result["wall_time_s"] = time.perf_counter() - started
+            results.append(result)
     return results
-
-
-def execute_batch_in_process(
-    context: BatchContext,
-    jobs: Sequence[tuple[int, int, Any]],
-    registry: ScenarioRegistry | None = None,
-    trace_mode: str | None = None,
-    default_deadline_s: float | None = None,
-) -> list[dict[str, Any]]:
-    """Serial/thread batch job: outcomes stay live objects."""
-    return execute_batch(
-        context,
-        jobs,
-        registry=registry,
-        trace_mode=trace_mode,
-        default_deadline_s=default_deadline_s,
-    )
 
 
 def run_batch_payload(
@@ -291,6 +273,5 @@ __all__ = [
     "BatchPlan",
     "VariantBatch",
     "execute_batch",
-    "execute_batch_in_process",
     "run_batch_payload",
 ]

@@ -10,7 +10,10 @@ the safety monitor (any violated goal counts as a successful attack).
 ``run_campaign``/``iter_campaign`` execute a variant list on any
 :mod:`repro.runtime` execution backend -- serial, thread pool or process
 pool -- instead of the hand-rolled ``multiprocessing.Pool`` this module
-used to own.  Variants are pure data and outcomes are plain dataclasses
+used to own.  Every backend takes the same path: a
+:class:`~repro.engine.batch.BatchPlan` dispatched through
+:meth:`Runtime.map_batches <repro.runtime.Runtime.map_batches>`, where
+an unbatched backend is batch size 1.  Variants are pure data and outcomes are plain dataclasses
 of primitives, so process fan-out works under both ``fork`` and ``spawn``
 start methods; each worker process claims a disjoint identifier block on
 first use so parallel workers cannot mint colliding ``AD``/``SG``
@@ -40,6 +43,7 @@ from typing import (
 )
 
 from repro.engine.attacks import arm_catalog_attack
+from repro.engine.batch import BatchPlan, execute_batch, run_batch_payload
 from repro.engine.registry import ScenarioRegistry, default_registry
 from repro.engine.spec import VariantSpec
 from repro.errors import (
@@ -59,11 +63,10 @@ from repro.runtime import (
     CancelToken,
     ExecutionBackend,
     JobError,
-    ProcessBackend,
     ProgressEvent,
     RetryPolicy,
     Runtime,
-    SerialBackend,
+    backend_from_spec,
     in_worker_process,
     worker_index,
 )
@@ -334,21 +337,6 @@ def _ensure_worker_identity() -> None:
     _worker_identity_claimed = True
 
 
-def _run_payload(
-    payload: dict,
-    trace_mode: str = CAMPAIGN_TRACE_MODE,
-    default_deadline_s: float | None = None,
-) -> dict:
-    """Process-backend job: rebuild the variant, execute, return plain data."""
-    _ensure_worker_identity()
-    outcome = _execute_checked(
-        VariantSpec.from_payload(payload),
-        trace_mode=trace_mode,
-        default_deadline_s=default_deadline_s,
-    )
-    return dataclasses.asdict(outcome)
-
-
 def _execute_checked(
     variant: VariantSpec,
     registry: ScenarioRegistry | None = None,
@@ -543,10 +531,6 @@ def error_outcome(
     )
 
 
-#: Backwards-compatible private alias (pre-service-plane name).
-_error_outcome = error_outcome
-
-
 @runtime_checkable
 class CampaignMemo(Protocol):
     """The duck type ``iter_campaign``'s ``memo=`` parameter accepts.
@@ -570,28 +554,6 @@ class CampaignMemo(Protocol):
     ) -> None: ...
 
 
-def _resolve_backend(
-    workers: int | None,
-    backend: "ExecutionBackend | str | None",
-    n_variants: int,
-) -> ExecutionBackend:
-    """Normalise the ``workers=`` shorthand and ``backend=``."""
-    if backend is not None:
-        if workers is not None:
-            raise ValidationError("pass either backend= or workers=, not both")
-        if isinstance(backend, str):
-            from repro.runtime import make_backend
-
-            return make_backend(backend)
-        return backend
-    workers = 1 if workers is None else workers
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or n_variants <= 1:
-        return SerialBackend()
-    return ProcessBackend(jobs=workers)
-
-
 def iter_campaign(
     variants: Iterable[VariantSpec],
     *,
@@ -601,7 +563,6 @@ def iter_campaign(
     on_event: Callable[[ProgressEvent], None] | None = None,
     cancel: CancelToken | None = None,
     sink: ResultSink | None = None,
-    chunksize: int = 1,
     trace_mode: str = CAMPAIGN_TRACE_MODE,
     memo: CampaignMemo | None = None,
     retry: RetryPolicy | None = None,
@@ -631,7 +592,6 @@ def iter_campaign(
             finish, nothing new starts.
         sink: Streaming record accumulator
             (:class:`~repro.results.ResultSink`).
-        chunksize: Jobs per backend task (1 streams at finest grain).
         trace_mode: Scenario event-trace mode (lean ``"counts"`` by
             default; ``"full"`` retains complete traces).
         memo: Optional :class:`CampaignMemo` (e.g.
@@ -655,7 +615,6 @@ def iter_campaign(
         on_event=on_event,
         cancel=cancel,
         sink=sink,
-        chunksize=chunksize,
         trace_mode=trace_mode,
         memo=memo,
         retry=retry,
@@ -673,7 +632,6 @@ def _iter_campaign_indexed(
     on_event: Callable[[ProgressEvent], None] | None = None,
     cancel: CancelToken | None = None,
     sink: ResultSink | None = None,
-    chunksize: int = 1,
     trace_mode: str = CAMPAIGN_TRACE_MODE,
     memo: CampaignMemo | None = None,
     retry: RetryPolicy | None = None,
@@ -690,13 +648,9 @@ def _iter_campaign_indexed(
         raise ValidationError(
             f"deadline_s must be positive, got {deadline_s}"
         )
-    owns_backend = isinstance(backend, str)
-    if isinstance(backend, str):
-        from repro.runtime import make_backend
-
-        backend = make_backend(backend)
-    elif backend is None:
-        backend = SerialBackend()
+    owns_backend = backend is None or isinstance(backend, str)
+    if owns_backend:
+        backend = backend_from_spec(backend)
     variant_list = list(variants)
     if (
         registry is not None
@@ -731,57 +685,29 @@ def _iter_campaign_indexed(
             if sink is not None:
                 sink.add(outcome.to_record())
             yield index, outcome
-        runtime = Runtime(backend, on_event=on_event, cancel=cancel)
-        batch_size = getattr(backend, "batch_size", None)
-        if batch_size is not None:
-            # A BatchedBackend: group same-family variants and ship whole
-            # batches, amortising shared setup per batch.  Seeds still derive
-            # from each variant's original index, so verdicts do not move.
-            from repro.engine.batch import (
-                BatchPlan,
-                execute_batch_in_process,
-                run_batch_payload,
+        # Every campaign is a batch plan: same-family variants share
+        # setup per batch, and batch size 1 (any unbatched backend) is
+        # the plain one-variant-per-task case.  Seeds derive from each
+        # variant's original index, so batching never moves a verdict.
+        plan = BatchPlan.plan(submit_variants, getattr(backend, "batch_size", 1))
+        # The one real choice: live outcomes in memory, or plain payloads
+        # across a process boundary.
+        if backend.shares_memory:
+            batch_fn: Callable[..., Any] = functools.partial(
+                execute_batch, registry=registry
             )
-
-            plan = BatchPlan.plan(submit_variants, batch_size)
-            if backend.shares_memory:
-                batch_fn = functools.partial(
-                    execute_batch_in_process,
-                    registry=registry,
-                    trace_mode=trace_mode,
-                    default_deadline_s=deadline_s,
-                )
-                batches = [(batch.context(), batch.jobs()) for batch in plan]
-            else:
-                batch_fn = functools.partial(
-                    run_batch_payload,
-                    trace_mode=trace_mode,
-                    default_deadline_s=deadline_s,
-                )
-                batches = [
-                    (batch.context(), batch.jobs(as_payload=True))
-                    for batch in plan
-                ]
-            stream = runtime.map_batches(batch_fn, batches)
-        elif backend.shares_memory:
-            fn: Callable[[Any], Any] = functools.partial(
-                _execute_in_process,
-                registry=registry,
-                trace_mode=trace_mode,
-                default_deadline_s=deadline_s,
-            )
-            stream = runtime.map(fn, submit_variants, chunksize=chunksize)
         else:
-            fn = functools.partial(
-                _run_payload,
-                trace_mode=trace_mode,
-                default_deadline_s=deadline_s,
-            )
-            stream = runtime.map(
-                fn,
-                [variant.to_payload() for variant in submit_variants],
-                chunksize=chunksize,
-            )
+            batch_fn = run_batch_payload
+        runtime = Runtime(backend, on_event=on_event, cancel=cancel)
+        stream = runtime.map_batches(
+            functools.partial(
+                batch_fn, trace_mode=trace_mode, default_deadline_s=deadline_s
+            ),
+            [
+                (batch.context(), batch.jobs(as_payload=not backend.shares_memory))
+                for batch in plan
+            ],
+        )
         # Transient failures are parked here and re-executed after the
         # main stream drains; ``run_campaign``'s position sort restores
         # input order, so late retries never move another verdict.
@@ -905,24 +831,9 @@ def _retry_variant(
     )
 
 
-def _execute_in_process(
-    variant: VariantSpec,
-    registry=None,
-    trace_mode: str = CAMPAIGN_TRACE_MODE,
-    default_deadline_s: float | None = None,
-) -> VariantOutcome:
-    """Serial/thread-backend job: no payload round-trip needed."""
-    return _execute_checked(
-        variant,
-        registry,
-        trace_mode=trace_mode,
-        default_deadline_s=default_deadline_s,
-    )
-
-
 def run_campaign(
     variants: Iterable[VariantSpec],
-    workers: int | None = None,
+    jobs: int | None = None,
     registry: ScenarioRegistry | None = None,
     *,
     backend: "ExecutionBackend | str | None" = None,
@@ -930,7 +841,6 @@ def run_campaign(
     on_event: Callable[[ProgressEvent], None] | None = None,
     cancel: CancelToken | None = None,
     sink: ResultSink | None = None,
-    chunksize: int = 1,
     trace_mode: str = CAMPAIGN_TRACE_MODE,
     memo: CampaignMemo | None = None,
     retry: RetryPolicy | None = None,
@@ -938,34 +848,33 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute ``variants`` on an execution backend; aggregate outcomes.
 
-    The preferred calling convention is ``backend=`` with any
-    :mod:`repro.runtime` backend (or its name)::
+    ``backend``/``jobs`` go through
+    :func:`~repro.runtime.backend_from_spec`: any :mod:`repro.runtime`
+    backend or its name, sized by ``jobs`` (no backend and ``jobs > 1``
+    means a process pool)::
 
         run_campaign(variants, backend=ProcessBackend(jobs=4))
-        run_campaign(variants, backend="thread")
+        run_campaign(variants, backend="thread", jobs=2)
+        run_campaign(variants, jobs=4)
 
-    ``workers=N`` remains as a shorthand for
-    ``backend=ProcessBackend(jobs=N)`` (``N == 1`` means serial).
     Outcomes are returned in input order regardless of completion order;
     verdicts are backend-independent by construction (pure-data variants,
     deterministic simulator).
     """
-    variant_list = list(variants)
-    resolved = _resolve_backend(workers, backend, len(variant_list))
+    resolved = backend_from_spec(backend, jobs)
     owns_backend = backend is None or isinstance(backend, str)
     started = time.perf_counter()
     token = cancel if cancel is not None else CancelToken()
     try:
         indexed = sorted(
             _iter_campaign_indexed(
-                variant_list,
+                variants,
                 backend=resolved,
                 registry=registry,
                 on_error=on_error,
                 on_event=on_event,
                 cancel=token,
                 sink=sink,
-                chunksize=chunksize,
                 trace_mode=trace_mode,
                 memo=memo,
                 retry=retry,
@@ -998,34 +907,17 @@ class CampaignRunner:
     def __init__(
         self,
         registry: ScenarioRegistry | None = None,
-        workers: int | None = None,
-        backend: "ExecutionBackend | str | None" = None,
         jobs: int | None = None,
+        backend: "ExecutionBackend | str | None" = None,
         batch_size: int | None = None,
     ) -> None:
-        from repro.runtime import backend_from_spec
-
         self.registry = registry or default_registry()
-        if backend is None and jobs is None and batch_size is None:
-            # Legacy convention: workers=N means an N-process pool.
-            self.workers = 1 if workers is None else workers
-            self.backend = None  # resolved per run (serial fast path)
-            self._owns_backend = False
-        else:
-            if workers is not None:
-                raise ValidationError(
-                    "pass either workers= or backend=/jobs=/batch_size=, "
-                    "not both"
-                )
-            self._owns_backend = backend is None or isinstance(backend, str)
-            self.backend = backend_from_spec(
-                backend, jobs, batch_size=batch_size
-            )
-            self.workers = self.backend.jobs
+        self._owns_backend = backend is None or isinstance(backend, str)
+        self.backend = backend_from_spec(backend, jobs, batch_size=batch_size)
 
     def close(self) -> None:
         """Shut down an owned backend's workers (idempotent)."""
-        if self._owns_backend and self.backend is not None:
+        if self._owns_backend:
             self.backend.shutdown()
 
     def select(
@@ -1063,7 +955,6 @@ class CampaignRunner:
         try:
             return run_campaign(
                 selected,
-                workers=None if self.backend is not None else self.workers,
                 registry=self.registry,
                 backend=self.backend,
                 on_error=on_error,

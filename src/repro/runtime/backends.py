@@ -544,7 +544,13 @@ def backend_from_spec(
     ``batch_size`` wraps the resolved backend in a
     :class:`BatchedBackend` so batch-aware callers group jobs; passing
     it alongside an already-batched backend is a conflict.
+
+    This is the one place a ``(backend, jobs, batch_size)`` triple
+    becomes a backend: the campaign runner, :class:`~repro.api.Workspace`
+    and the CLI all resolve through it.
     """
+    if jobs is not None and jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     if isinstance(spec, BatchedBackend):
         if batch_size is not None and batch_size != spec.batch_size:
             raise ValidationError(

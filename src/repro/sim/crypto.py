@@ -43,9 +43,11 @@ def shared_mac_memo():
     same canonical payloads with the same provisioned keys, and the memo
     lets the whole batch pay for each distinct digest once.
 
-    Scoped (rather than a module global) so that unbatched runs keep the
-    exact PR-5 cost profile and serial-vs-batched benchmarks stay honest.
-    Nesting reuses the outer memo.
+    Scoped (rather than a module global): the campaign engine enters it
+    only for batches of two or more variants, so batch size 1 -- the
+    plain, unbatched case -- keeps the exact per-variant cost profile
+    and serial-vs-batched benchmarks stay honest.  Nesting reuses the
+    outer memo.
     """
     previous = getattr(_MEMO_STATE, "memo", None)
     memo = {} if previous is None else previous

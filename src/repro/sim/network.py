@@ -60,8 +60,10 @@ def shared_message_memo():
     Sharing an instance is safe for the same reason broadcasts are: a
     ``Message`` is frozen, its payload is immutable by contract, and its
     per-instance caches memoise pure functions of those fields.  Scoped
-    to :func:`repro.engine.batch.execute_batch` so unbatched runs keep
-    their exact cost profile.  Nesting reuses the outer memo.
+    to :func:`repro.engine.batch.execute_batch`, which enters it only for
+    batches of two or more variants, so batch size 1 (the plain,
+    unbatched case) keeps its exact cost profile.  Nesting reuses the
+    outer memo.
     """
     previous = getattr(_MESSAGE_MEMO_STATE, "memo", None)
     memo = {} if previous is None else previous

@@ -9,6 +9,9 @@ identical to serial execution at every batch size, on every inner
 backend, under both fork and spawn start methods.
 """
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.engine.batch import BatchPlan, VariantBatch, execute_batch
@@ -35,8 +38,13 @@ def _quick_variants():
 
 
 def _fingerprint(result):
+    """Every outcome field except wall time and the memo flag."""
     return [
-        (o.variant_id, o.verdict, o.violated_goals, o.detections)
+        {
+            field: value
+            for field, value in dataclasses.asdict(o).items()
+            if field not in ("wall_time_s", "from_cache")
+        }
         for o in result.outcomes
     ]
 
@@ -74,6 +82,15 @@ class TestBatchPlan:
         plan = BatchPlan.plan(variants, batch_size=1)
         assert len(plan) == len(variants)
         assert all(len(batch) == 1 for batch in plan)
+
+    def test_batches_follow_first_member_input_order(self):
+        variants = list(default_registry().variants())
+        random.Random(5).shuffle(variants)
+        for size in (1, 3):
+            firsts = [b.indices[0] for b in BatchPlan.plan(variants, size)]
+            assert firsts == sorted(firsts)
+        singletons = BatchPlan.plan(variants, batch_size=1)
+        assert [b.indices[0] for b in singletons] == list(range(len(variants)))
 
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,12 +1,15 @@
 """Campaign + fuzzing semantics on the pluggable runtime.
 
-Covers the contracts the execution-backend redesign introduced: verdict
-parity across backends (including the AD08/AD20 bound-attack family),
-the ``workers=``/``backend=`` exclusivity check, streaming result
+Covers the contracts the execution-backend redesign introduced: whole-
+outcome parity across backends (including the AD08/AD20 bound-attack
+family), the ``jobs=``/``backend=`` conflict check, streaming result
 sinks, poisoned jobs surfacing as tagged error records (or as
 :class:`~repro.errors.VariantExecutionError`), and cooperative
 mid-campaign cancellation.
 """
+
+import dataclasses
+import random
 
 import pytest
 
@@ -44,8 +47,13 @@ def _poisoned_variant():
 
 
 def _fingerprint(result):
+    """Every outcome field except wall time and the memo flag."""
     return [
-        (o.variant_id, o.verdict, o.violated_goals, o.detections)
+        {
+            field: value
+            for field, value in dataclasses.asdict(o).items()
+            if field not in ("wall_time_s", "from_cache")
+        }
         for o in result.outcomes
     ]
 
@@ -93,6 +101,21 @@ class TestOrderingAndOwnership:
             v.variant_id for v in variants
         }
 
+    def test_serial_stream_follows_input_order(self):
+        """A serial campaign streams outcomes in input order, even for a
+        shuffled list mixing families (not grouped by family)."""
+        registry = default_registry()
+        variants = [
+            *registry.variants(family="baseline"),
+            *registry.variants(family="coverage"),
+            *registry.variants(family="zone-geometry"),
+        ]
+        random.Random(7).shuffle(variants)
+        streamed = [
+            o.variant_id for o in iter_campaign(variants, backend="serial")
+        ]
+        assert streamed == [v.variant_id for v in variants]
+
     def test_duplicate_variant_ids_keep_positional_order(self):
         """Explicit lists may repeat a spec; outcomes must come back in
         exact submission order, not collapsed by variant id."""
@@ -124,8 +147,10 @@ class TestOrderingAndOwnership:
 
 class TestDeprecationShims:
     def test_conflicting_worker_specs_rejected(self):
-        with pytest.raises(ValidationError, match="not both"):
-            run_campaign([], workers=2, backend=SerialBackend())
+        """``jobs=`` replaced the ``workers=`` shorthand; sizing a ready
+        backend differently is still a conflict, not a silent resize."""
+        with pytest.raises(ValidationError, match="conflicts"):
+            run_campaign([], jobs=2, backend=SerialBackend())
 
 
 class TestStreaming:
@@ -257,10 +282,20 @@ class TestWorkspaceIntegration:
     def test_workspace_rejects_conflicting_specs(self):
         from repro.api import Workspace
 
-        with pytest.raises(ValidationError, match="not both"):
+        backend = ThreadBackend(jobs=1)
+        with pytest.raises(ValidationError, match="conflicts"):
             Workspace().campaign(
-                family="zone-geometry", workers=2, backend="thread"
+                family="zone-geometry", jobs=2, backend=backend
             )
+
+    def test_per_call_jobs_resizes_workspace_backend(self):
+        """A per-call ``jobs`` keeps the workspace's default backend."""
+        from repro.api import Workspace
+
+        workspace = Workspace(backend="thread", jobs=2)
+        for jobs in (2, 1):
+            result = workspace.campaign(family="baseline", limit=2, jobs=jobs)
+            assert (result.backend, result.workers) == ("thread", jobs)
 
 
 class TestParallelFuzzing:
