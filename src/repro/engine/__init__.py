@@ -27,7 +27,7 @@ replaces that:
   a :class:`~repro.runtime.BatchedBackend` (batch size 1, the plain
   case, for any other backend).  Batches of two or more build shared
   setup (factory resolution, bound attacks) and enter the shared MAC
-  and message memos once per batch; one-member batches share nothing.
+  memo once per batch; one-member batches share nothing.
 
 Submodules are imported lazily (PEP 562) so that
 ``repro.sim.scenarios`` can import :mod:`repro.engine.kernel` without

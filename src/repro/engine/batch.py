@@ -45,7 +45,6 @@ from repro.engine.spec import VariantSpec, factory_accepts, resolve_factory
 from repro.errors import ValidationError
 from repro.runtime import JobError
 from repro.sim.crypto import shared_mac_memo
-from repro.sim.network import shared_message_memo
 
 #: The batch context shipped to workers: plain data, always picklable.
 BatchContext = dict[str, str]
@@ -212,12 +211,10 @@ def execute_batch(
     results: list[dict[str, Any]] = []
     with contextlib.ExitStack() as shared:
         if len(jobs) > 1:
-            # One memo scope per multi-member batch: HMAC digests and
-            # honestly signed message instances are shared across the
-            # family's variants -- their deterministic traffic is signed
-            # once.
+            # One memo scope per multi-member batch: HMAC digests are
+            # shared across the family's variants -- their deterministic
+            # traffic is signed once.
             shared.enter_context(shared_mac_memo())
-            shared.enter_context(shared_message_memo())
             try:
                 _warm_batch(context, variants, registry)
             except Exception:  # noqa: BLE001 - warming is an optimisation

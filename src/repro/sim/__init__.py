@@ -86,7 +86,6 @@ from repro.sim.network import (
     Message,
     PropagationModel,
     Receiver,
-    shared_message_memo,
 )
 from repro.sim.scenarios import (
     CONTROL_AUTH,
@@ -219,6 +218,5 @@ __all__ = [
     "linkability",
     "make_frame",
     "shared_mac_memo",
-    "shared_message_memo",
     "verify_mac",
 ]

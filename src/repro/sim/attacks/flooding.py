@@ -99,8 +99,8 @@ class FloodingAttack(AttackInjector):
     def _send_one(self) -> None:
         self._counter += 1
         # Timestamp at construction: one Message build per flood packet
-        # (create_signed constructs the signed instance directly) on the
-        # hottest send path.
+        # (create_signed constructs the signed instance directly and
+        # defers its HMAC until a tag is read) on the hottest send path.
         if self.authenticated:
             assert self._keystore is not None
             message = Message.create_signed(

@@ -14,15 +14,19 @@ a claimed ``sender``, a monotonically increasing ``counter``, a send
 manipulate exactly these fields (spoof the sender, replay an old tag,
 tamper the payload) and the controls' verdicts follow honestly from HMAC
 verification and freshness checks.
+
+Honest senders sign on demand: :meth:`Message.create_signed` and
+:meth:`Message.signed` record the signer's key and the verdict "verifies
+under that key", and the HMAC itself is computed the first time anything
+reads ``auth_tag``.  A flood frame that a rate limiter drops, or that is
+only ever checked under its own signer's key, is never digested at all.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import itertools
-import threading
 from collections import deque
 from typing import (
     Any,
@@ -38,40 +42,7 @@ from repro.sim.clock import SimClock
 from repro.sim.crypto import KeyStore, compute_mac, verify_mac
 from repro.sim.events import EventBus
 
-# Batch-scoped signed-message memo (see shared_message_memo).  Thread-
-# local for the same reason as crypto._MEMO_STATE: thread-backend
-# workers must never share mutable state.
-_MESSAGE_MEMO_STATE = threading.local()
-_MESSAGE_MEMO_LIMIT = 65536
-
-
-@contextlib.contextmanager
-def shared_message_memo():
-    """Activate cross-variant reuse of honestly signed messages.
-
-    Variants of one scenario family replay identical deterministic
-    traffic: the same senders sign the same (kind, counter, timestamp,
-    payload) tuples with the same derived keys -- a flooding attacker's
-    whole schedule is repeated verbatim by its exposed/protected twin.
-    Inside this scope :meth:`Message.create_signed` returns the *same
-    frozen instance* for a repeated signature request, skipping payload
-    canonicalisation, the HMAC, and dataclass construction.
-
-    Sharing an instance is safe for the same reason broadcasts are: a
-    ``Message`` is frozen, its payload is immutable by contract, and its
-    per-instance caches memoise pure functions of those fields.  Scoped
-    to :func:`repro.engine.batch.execute_batch`, which enters it only for
-    batches of two or more variants, so batch size 1 (the plain,
-    unbatched case) keeps its exact cost profile.  Nesting reuses the
-    outer memo.
-    """
-    previous = getattr(_MESSAGE_MEMO_STATE, "memo", None)
-    memo = {} if previous is None else previous
-    _MESSAGE_MEMO_STATE.memo = memo
-    try:
-        yield memo
-    finally:
-        _MESSAGE_MEMO_STATE.memo = previous
+_next_unique_id = itertools.count(1).__next__
 
 
 def _signing_payload(
@@ -88,7 +59,7 @@ def _signing_payload(
     < kind < payload.* < sender < timestamp``, and prefixing payload
     keys with ``payload.`` preserves their relative ``sorted`` order, so
     the parts can be emitted in one pass without building and re-sorting
-    the intermediate dict (signing sits on the per-send hot path).
+    the intermediate dict.
     """
     parts = [f"counter={counter!r}", f"kind={kind!r}"]
     for key in sorted(payload):
@@ -96,6 +67,30 @@ def _signing_payload(
     parts.append(f"sender={sender!r}")
     parts.append(f"timestamp={timestamp!r}")
     return "|".join(parts).encode("utf-8")
+
+
+class _TagOnDemand:
+    """``Message.auth_tag`` for a message signed on demand.
+
+    A non-data descriptor: an instance-dict ``auth_tag`` (every message
+    built through ``__init__``, and a signed one after its first read)
+    shadows it, so it runs only on the first read of a deferred tag.  It
+    computes the HMAC under the recorded signer key and stores it, and
+    every later read is a plain instance attribute lookup.  Read on the
+    class it answers the field default, ``""``.
+
+    Not a ``__getattr__`` hook: on CPython 3.11 a class-level
+    ``__getattr__`` sends every attribute read of the class through a
+    Python-level slot and turns off attribute-load specialisation, which
+    made reads of ``kind``, ``sender`` and the rest ~4x slower.
+    """
+
+    def __get__(self, message: "Message | None", owner: type) -> str:
+        if message is None:
+            return ""
+        tag = compute_mac(message._signer_key, message.signing_bytes())
+        object.__setattr__(message, "auth_tag", tag)
+        return tag
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,7 +105,11 @@ class Message:
         counter: Per-sender message counter (monotonic for honest senders).
         timestamp: Send time in ms (stamped by the channel when unset).
         auth_tag: HMAC over (kind, sender, counter, timestamp, payload);
-            empty for unauthenticated messages.
+            empty for unauthenticated messages.  On an honestly signed
+            message (:meth:`signed`, :meth:`create_signed`) it is
+            computed on first read; ``==``, ``hash``, ``repr`` and
+            ``dataclasses.replace`` all read it, so they see the real
+            tag.
         location: Logical origin location (used by plausibility checks on
             replayed warnings "from other locations").
         unique_id: Globally unique message id, assigned at construction.
@@ -121,11 +120,9 @@ class Message:
     payload: dict[str, Any]
     counter: int = 0
     timestamp: float = -1.0
-    auth_tag: str = ""
+    auth_tag: str = _TagOnDemand()  # type: ignore[assignment]
     location: str = ""
-    unique_id: int = dataclasses.field(
-        default_factory=itertools.count(1).__next__
-    )
+    unique_id: int = dataclasses.field(default_factory=_next_unique_id)
 
     # Per-instance caches (class-attribute fallbacks; instances override
     # via object.__setattr__).  Safe because a Message is frozen and its
@@ -140,6 +137,13 @@ class Message:
     # stale global entry.)
     _signing_cache: ClassVar[bytes | None] = None
     _mac_cache: ClassVar[dict | None] = None
+    # Set only on a message signed on demand (see _TagOnDemand).
+    _signer_key: ClassVar[bytes | None] = None
+
+    def carries_tag(self) -> bool:
+        """Whether the message carries an auth tag, without computing a
+        deferred one (an honestly signed message always carries one)."""
+        return self._signer_key is not None or self.auth_tag != ""
 
     def signing_bytes(self) -> bytes:
         """The byte string the auth tag covers (computed once per
@@ -160,7 +164,9 @@ class Message:
         One fleet broadcast reaches N on-board units, each running the
         same HMAC verification over the same bytes; the verdict is
         cached per ``key`` on the message instance so the work happens
-        once per broadcast instead of once per receiver.
+        once per broadcast instead of once per receiver.  An honestly
+        signed message starts with its signer's verdict cached, so
+        checking it under that key never computes the tag.
         """
         cache = self._mac_cache
         if cache is None:
@@ -177,33 +183,20 @@ class Message:
 
         The sender must be provisioned in ``keystore``; honest components
         sign everything they send, attackers can only sign with identities
-        they actually control.
-
-        The copy's caches are pre-seeded: its signing bytes are the ones
-        just signed (``auth_tag`` is not part of them), and the fresh tag
-        verifies under ``key`` by construction (HMAC is deterministic),
-        so receivers of an honestly signed message never redo the
-        signer's work.  Any *other* key -- and any tampered replica,
-        which is a new instance -- still verifies from scratch.
+        they actually control.  The copy keeps this message's
+        ``unique_id`` and is built like :meth:`create_signed`'s: its tag
+        is computed on first read.
         """
-        key = keystore.key_of(self.sender)
-        signing = self.signing_bytes()
-        # Direct construction (not dataclasses.replace): replace() walks
-        # every field through getattr, and signing sits on the per-send
-        # hot path.  unique_id is carried over, exactly as replace does.
-        copy = Message(
-            kind=self.kind,
-            sender=self.sender,
-            payload=self.payload,
-            counter=self.counter,
-            timestamp=self.timestamp,
-            auth_tag=compute_mac(key, signing),
-            location=self.location,
-            unique_id=self.unique_id,
+        return self._signed_by(
+            keystore.key_of(self.sender),
+            self.kind,
+            self.sender,
+            self.payload,
+            self.counter,
+            self.timestamp,
+            self.location,
+            self.unique_id,
         )
-        object.__setattr__(copy, "_signing_cache", signing)
-        object.__setattr__(copy, "_mac_cache", {key: True})
-        return copy
 
     @classmethod
     def create_signed(
@@ -219,52 +212,59 @@ class Message:
     ) -> "Message":
         """Construct a message already carrying a valid auth tag.
 
-        Equivalent to ``Message(...).signed(keystore)`` but with a single
-        construction: the signing bytes are built from the raw fields,
-        the tag is computed, and the one instance is created with both
-        caches pre-seeded.  Consumes exactly one ``unique_id`` -- the
-        same as the two-step spelling, whose ``signed()`` copy carries
-        the throwaway original's id.
-
-        Inside a :func:`shared_message_memo` scope, a repeated request
-        (same fields, same key) returns the previously built instance.
+        Equivalent to ``Message(...).signed(keystore)`` with a single
+        construction.  Consumes exactly one ``unique_id`` -- the same as
+        the two-step spelling, whose ``signed()`` copy carries the
+        throwaway original's id.
         """
-        key = keystore.key_of(sender)
-        memo = getattr(_MESSAGE_MEMO_STATE, "memo", None)
-        token = None
-        if memo is not None:
-            try:
-                token = (
-                    kind,
-                    sender,
-                    counter,
-                    timestamp,
-                    location,
-                    key,
-                    tuple(sorted(payload.items())),
-                )
-                cached = memo.get(token)
-            except TypeError:  # unhashable payload value: not memoisable
-                memo = None
-            else:
-                if cached is not None:
-                    return cached
-        signing = _signing_payload(kind, sender, counter, timestamp, payload)
-        message = cls(
-            kind=kind,
-            sender=sender,
-            payload=payload,
-            counter=counter,
-            timestamp=timestamp,
-            auth_tag=compute_mac(key, signing),
-            location=location,
+        return cls._signed_by(
+            keystore.key_of(sender),
+            kind,
+            sender,
+            payload,
+            counter,
+            timestamp,
+            location,
+            _next_unique_id(),
         )
-        object.__setattr__(message, "_signing_cache", signing)
-        object.__setattr__(message, "_mac_cache", {key: True})
-        if memo is not None and token is not None:
-            if len(memo) >= _MESSAGE_MEMO_LIMIT:
-                memo.clear()
-            memo[token] = message
+
+    @classmethod
+    def _signed_by(
+        cls,
+        key: bytes,
+        kind: str,
+        sender: str,
+        payload: dict[str, Any],
+        counter: int,
+        timestamp: float,
+        location: str,
+        unique_id: int,
+    ) -> "Message":
+        """Build a message signed under ``key`` with its tag deferred.
+
+        The instance gets every field but ``auth_tag`` (so the first read
+        reaches :class:`_TagOnDemand`), the signer's key, and the verdict
+        "verifies under ``key``" -- true by construction, since HMAC is
+        deterministic.  Any *other* key, and any tampered replica (a new
+        instance with cold caches), verifies from scratch against the
+        genuine tag.
+        """
+        message = object.__new__(cls)
+        # Attribute by attribute, in field order, as the generated
+        # __init__ does: filling ``message.__dict__`` in one call
+        # materialises a per-instance dict, which on CPython 3.11 cost
+        # ~8% registry peak memory and made method calls on the message
+        # ~1.5x slower.
+        setattr_ = object.__setattr__
+        setattr_(message, "kind", kind)
+        setattr_(message, "sender", sender)
+        setattr_(message, "payload", payload)
+        setattr_(message, "counter", counter)
+        setattr_(message, "timestamp", timestamp)
+        setattr_(message, "location", location)
+        setattr_(message, "unique_id", unique_id)
+        setattr_(message, "_signer_key", key)
+        setattr_(message, "_mac_cache", {key: True})
         return message
 
     def with_timestamp(self, time: float) -> "Message":
@@ -582,5 +582,4 @@ __all__ = [
     "Message",
     "PropagationModel",
     "Receiver",
-    "shared_message_memo",
 ]

@@ -160,7 +160,7 @@ class V2VRelay:
 
     def _authentic(self, message: Message) -> bool:
         """True when the message's tag verifies for its claimed sender."""
-        if not message.auth_tag or not self._keystore.is_provisioned(
+        if not message.carries_tag() or not self._keystore.is_provisioned(
             message.sender
         ):
             return False
